@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import DistanceOracleError, NodeNotFoundError
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.compiled import CompiledGraph, bits_to_indices, compile_graph, indices_to_bits
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.distance.oracle import (
     DEFAULT_BITS_CACHE_SIZE,
@@ -241,6 +241,37 @@ class FlatBFSKernel:
         if hit_source:
             append(source)
         return tuple(out)
+
+    def ancestors_of_set_bits(self, sources: int, bound: Optional[int]) -> int:
+        """Bitset of nodes reaching *some* member of *sources* within *bound*.
+
+        Equal to the OR of ``ball_bits(j, bound, reverse=True)`` over every
+        ``j`` in the *sources* bitset, computed by one level-synchronous
+        reverse BFS from the whole set instead of one search per member.
+        Paths are nonempty: the sources start the search but are not marked
+        visited, so a source is in the result only when it reaches a source
+        (itself through a cycle, or another one) within the bound.  This is
+        the whole existence test of a pattern edge whose child set is final.
+        """
+        if not sources or (bound is not None and bound <= 0):
+            return 0
+        adjacency = self._adj_tuples(True)
+        size = self.compiled.num_nodes
+        visited = bytearray(size)
+        reached: List[int] = []
+        append = reached.append
+        frontier = bits_to_indices(sources)
+        depth = 0
+        while frontier and (bound is None or depth < bound):
+            depth += 1
+            start = len(reached)
+            for i in frontier:
+                for j in adjacency[i]:
+                    if not visited[j]:
+                        visited[j] = 1
+                        append(j)
+            frontier = reached[start:]
+        return indices_to_bits(reached, size, visited)
 
     # ------------------------------------------------------------------
     # distance rows
@@ -501,6 +532,15 @@ class CompiledDistanceMatrix(DistanceOracle):
         if self._snapshot_is_current(compiled):
             return compiled.ancestors_within_bits(target, bound)
         return super().ancestors_within_bits(compiled, target, bound)
+
+    def ancestors_of_set_bits(
+        self, compiled: CompiledGraph, sources: int, bound: Optional[int]
+    ) -> int:
+        """One multi-source reverse BFS (:meth:`FlatBFSKernel.ancestors_of_set_bits`)."""
+        self._sync()
+        if compiled is self._compiled:
+            return self._kernel.ancestors_of_set_bits(sources, bound)
+        return super().ancestors_of_set_bits(compiled, sources, bound)
 
     def descendants_compact(
         self, compiled: CompiledGraph, source: int, bound: Optional[int]

@@ -29,6 +29,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set
 
 from repro.analysis import sanitize as _sanitize
+from repro.graph.compiled import bits_to_indices
 from repro.graph.datagraph import DataGraph, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -176,6 +177,21 @@ class DistanceOracle(ABC):
     ) -> int:
         """:meth:`ancestors_within` over interned ids, as a bitset."""
         return compiled.encode(self.ancestors_within(compiled.node_of(target), bound))
+
+    def ancestors_of_set_bits(
+        self, compiled: "CompiledGraph", sources: int, bound: Optional[int]
+    ) -> int:
+        """Nodes reaching some member of the *sources* bitset within *bound*.
+
+        The OR of :meth:`ancestors_within_bits` over every member — the
+        existence test of a pattern edge against a final child set, answered
+        for all parent candidates at once.  ``bound=None`` means unbounded.
+        The compiled oracle overrides this with one multi-source BFS.
+        """
+        result = 0
+        for target in bits_to_indices(sources):
+            result |= self.ancestors_within_bits(compiled, target, bound)
+        return result
 
     def descendants_compact(
         self, compiled: "CompiledGraph", source: int, bound: Optional[int]

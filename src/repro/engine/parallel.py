@@ -13,7 +13,9 @@ a :class:`~repro.engine.session.MatchSession` owns for its lifetime:
 * on platforms without ``fork`` the pool falls back to ``spawn`` workers
   that attach the snapshot's CSR pages and interning table zero-copy
   through :meth:`~repro.graph.compiled.CompiledGraph.export_shared` /
-  ``attach_shared`` instead of re-pickling the graph per worker;
+  ``attach_shared`` instead of re-pickling the graph per worker, and the
+  pool waits for each one to report its attach (or its failure) before it
+  hands out work;
 * every task carries the **snapshot version** it was planned against, and
   workers answer ``stale`` for versions they are not pinned to — the parent
   transparently recomputes those units serially and re-pins the pool
@@ -79,6 +81,10 @@ DEFAULT_TASK_TIMEOUT = 60.0
 #: Ceiling on one blocking ``get`` on the result queue, so deadline sweeps
 #: run even while nothing arrives.
 _MAX_POLL = 1.0
+
+#: Cap on how long a starting spawn pool waits for its workers to report
+#: whether they attached the exported snapshot (see ``_await_attach``).
+_ATTACH_WAIT = 30.0
 
 #: Session inherited by fork workers, published immediately before forking.
 _WORKER_SESSION: Optional["MatchSession"] = None
@@ -251,8 +257,9 @@ class AttachedExecutor:
             return bits
         return ball
 
-    def ancestors_within_bits(self, compiled, target: int, bound) -> int:
-        return self._kernel.ball_bits(target, bound, reverse=True)
+    def ancestors_of_set_bits(self, compiled, sources: int, bound) -> int:
+        self._check_version()
+        return self._kernel.ancestors_of_set_bits(sources, bound)
 
     # -- work-unit execution -------------------------------------------
 
@@ -311,6 +318,7 @@ def _spawn_worker_main(worker_id: int, descriptor, tasks, results) -> None:
             pass
         return
     try:
+        results.put((worker_id, -1, "ready", None))
         _serve(AttachedExecutor(compiled), compiled, tasks, results, worker_id)
     finally:
         compiled.shared_handle.close()
@@ -531,6 +539,36 @@ class WorkerPool:
         self._finalizer = weakref.finalize(
             self, _reap, self._processes, self._task_queue
         )
+        if self._method != "fork":
+            self._await_attach()
+
+    def _await_attach(self) -> None:
+        """Wait until every spawn worker has reported its attach outcome.
+
+        A spawn worker must attach the exported snapshot before it can
+        serve; one that fails puts an ``attach.fail`` note on the result
+        queue and exits.  Collecting those notes here, before any task is
+        dispatched, counts every failed attach even when the healthy
+        workers would drain the whole batch before a late note arrived.
+        A worker that dies without a report is left to the liveness checks.
+        """
+        waiting = set(range(len(self._processes)))
+        deadline = time.monotonic() + _ATTACH_WAIT
+        while waiting and time.monotonic() < deadline:
+            # A worker found dead here has already flushed its report, if it
+            # made one, so an empty queue after this check means it made none.
+            dead = {w for w in waiting if not self._processes[w].is_alive()}
+            try:
+                item = self._result_queue.get(timeout=0.05)
+            except queue_module.Empty:
+                waiting -= dead
+                continue
+            if _sanitize.ENABLED:
+                _sanitize.pool_result(item)
+            worker_id, _task_id, status, payload = item
+            if status == "fault" and isinstance(payload, str):
+                self._fault_notes[payload] = self._fault_notes.get(payload, 0) + 1
+            waiting.discard(worker_id)
 
     def _respawn_worker(self, worker_id: int) -> bool:
         """Replace the (dead or quarantined) worker at *worker_id* mid-batch."""
@@ -773,6 +811,9 @@ class WorkerPool:
                     continue
                 if status == "malformed":
                     self._malformed_tasks += 1
+                    continue
+                if status == "ready":
+                    # A respawned spawn worker attached; nothing to record.
                     continue
                 task = pending.get(task_id)
                 if task is None or task.not_before is not None:

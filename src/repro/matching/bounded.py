@@ -41,12 +41,13 @@ which the incremental matcher still uses over the mutable graph).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from collections.abc import Set as AbstractSet
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.distance.matrix import DistanceMatrix
 from repro.distance.oracle import DistanceOracle
-from repro.graph.compiled import CompiledGraph, bits_to_indices
+from repro.graph.compiled import CompiledGraph, bits_to_indices, indices_to_bits
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
 from repro.matching.match_result import MatchResult
@@ -59,6 +60,7 @@ __all__ = [
     "candidate_bits",
     "refine_to_fixpoint",
     "refine_bits_to_fixpoint",
+    "RemovedPairs",
 ]
 
 
@@ -228,6 +230,41 @@ def refine_to_fixpoint(
     return removed
 
 
+class RemovedPairs(AbstractSet):
+    """The ``(pattern node, interned index)`` pairs a bitset refinement removed.
+
+    Held as one bitset per pattern node (candidates before the refinement
+    minus candidates after), so the refinement never materialises a pair
+    per removal.  It is a read-only set: ``len()`` is a popcount, iteration
+    and membership decode on demand.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: Dict[PatternNodeId, int]) -> None:
+        #: pattern node -> bitset of its removed candidates.
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return sum(bits.bit_count() for bits in self.bits.values())
+
+    def __iter__(self) -> Iterator[Tuple[PatternNodeId, int]]:
+        for u, bits in self.bits.items():
+            for v in bits_to_indices(bits):
+                yield (u, v)
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        u, v = pair
+        return isinstance(v, int) and v >= 0 and bool(self.bits.get(u, 0) >> v & 1)
+
+
+def _cleared(bits: int, dead: List[int], size: int) -> int:
+    """*bits* without the *dead* indices: one collected clear, not one per index."""
+    return bits & ~indices_to_bits(dead, size) if dead else bits
+
+
 def refine_bits_to_fixpoint(
     pattern: Pattern,
     oracle: DistanceOracle,
@@ -238,14 +275,15 @@ def refine_bits_to_fixpoint(
     edge_memo=None,
     memo_tag=None,
     edge_order=None,
-) -> Set[Tuple[PatternNodeId, int]]:
+) -> RemovedPairs:
     """Bitset counterpart of :func:`refine_to_fixpoint` over interned node ids.
 
     Candidate sets are Python-int bitsets; support counting is a single
     ``&`` plus ``bit_count()`` against the oracle's bitset reachability
     (:meth:`~repro.distance.oracle.DistanceOracle.descendants_within_bits`).
     Refines *mat_bits* in place and returns the removed
-    ``(pattern node, interned data index)`` pairs.
+    ``(pattern node, interned data index)`` pairs as a :class:`RemovedPairs`
+    view (initial minus final candidates per pattern node).
 
     The refinement runs in two phases.  The **seed phase** computes, for
     every pattern edge ``(u, u')``, the support of each candidate of ``u``
@@ -257,12 +295,14 @@ def refine_bits_to_fixpoint(
     of a monotone operator converges to the same greatest fixpoint
     regardless of order, so the result is identical to the paper's
     formulation — but only *forward* balls of *live* candidates are ever
-    computed (never an ancestor ball, never a ball of a non-candidate),
-    which is what lets the lazy compiled oracle skip the ``O(|V|^2)``
-    precompute entirely.  Balls are memoised for the duration of the
-    fixpoint in a local ``(index, bound)`` table sized exactly to the live
-    working set, so rechecks never recompute a ball even when the oracle's
-    own LRU is smaller than the candidate sets.
+    computed one by one, which is what lets the lazy compiled oracle skip
+    the ``O(|V|^2)`` precompute entirely.  Balls are memoised for the
+    duration of the fixpoint in a local ``(index, bound)`` table sized
+    exactly to the live working set, so rechecks never recompute a ball
+    even when the oracle's own LRU is smaller than the candidate sets.
+    Sparse balls (index tuples) are tested against one index set of the
+    child per edge check, and removals are cleared from a bitset once per
+    edge check, so no step costs ``O(|V|)`` per candidate.
 
     *edge_memo* (a :class:`~repro.distance.oracle.BoundedBitsCache` or any
     mapping with ``get``/``put``) memoises the seed phase **across calls**:
@@ -293,23 +333,33 @@ def refine_bits_to_fixpoint(
     edges *final* when they are seeded: the child's candidate set is already
     fully refined (its own out-edges have all been checked finally, or it
     is a leaf), so the edge is checked **count-free** against the *live*
-    child set — an existence test per candidate, or a reverse sweep that
-    unions ancestor balls of the live child when the child set is the
-    smaller side — and never re-entered by the propagation worklist.  Leaf
-    (star/chain) sub-patterns are thereby resolved exactly once.  Only
-    edges inside pattern cycles keep the counting path.  Non-final edges
-    still count against the child's *initial* set, so the cross-query
-    *edge_memo* stays shareable; final edges use or populate the memo only
-    when both live sets are pristine (a final check against shrunk sets has
-    no propagation step to reconcile a stale entry).  An *edge_order* that
-    does not cover the pattern's edges exactly (a stale plan for a mutated
-    pattern) is ignored and the seed order is used.
+    child set and never re-entered by the propagation worklist.  The check
+    keeps exactly the parents within the bound of some live child: when
+    the child set is the smaller side it is one multi-source reverse search
+    from the whole child set
+    (:meth:`~repro.distance.oracle.DistanceOracle.ancestors_of_set_bits`)
+    intersected with the parents, otherwise one forward existence test per
+    live parent.  Leaf (star/chain) sub-patterns are thereby resolved
+    exactly once.  Only edges inside pattern cycles keep the counting path.
+    Non-final edges still count against the child's *initial* set, so the
+    cross-query *edge_memo* stays shareable; final edges use or populate
+    the memo only when both live sets are pristine (a final check against
+    shrunk sets has no propagation step to reconcile a stale entry).  An
+    *edge_order* that does not cover the pattern's edges exactly (a stale
+    plan for a mutated pattern) is ignored and the seed order is used.
     """
-    removed: Set[Tuple[PatternNodeId, int]] = set()
+    initial = dict(mat_bits)
+
+    def removals() -> RemovedPairs:
+        return RemovedPairs(
+            {u: bits & ~mat_bits[u] for u, bits in initial.items() if bits != mat_bits[u]}
+        )
+
     edges = pattern.edge_list()
     if not edges:
-        return removed
+        return removals()
 
+    size = compiled.num_nodes
     # Balls arrive either as int bitsets or as sparse index tuples
     # (DistanceOracle.descendants_compact); counting dispatches on the type.
     # Sparse balls keep the memo footprint at a few hundred bytes per entry,
@@ -319,6 +369,31 @@ def refine_bits_to_fixpoint(
         descendants = oracle.descendants_within_bits
     # Fixpoint-local ball memo, keyed by (index, bound).
     balls: Dict[Tuple[int, Optional[int]], object] = {}
+
+    def ball_of(v: int, bound: Optional[int]):
+        key = (v, bound)
+        ball = balls.get(key)
+        if ball is None:
+            ball = descendants(compiled, v, bound)
+            balls[key] = ball
+        return ball
+
+    def reaching(parents: int, child: int, bound: Optional[int]) -> int:
+        """The members of *parents* whose forward ball meets *child*."""
+        child_set = None
+        dead: List[int] = []
+        for v in bits_to_indices(parents):
+            ball = ball_of(v, bound)
+            if type(ball) is int:
+                alive = ball & child
+            else:
+                if child_set is None:
+                    child_set = set(bits_to_indices(child))
+                alive = not child_set.isdisjoint(ball)
+            if not alive:
+                dead.append(v)
+        return _cleared(parents, dead, size)
+
     # support_count[(u, u')][v]: |descendants of v within the bound ∩ mat(u')|
     # at the time edge (u, u') was last checked.  Candidates whose initial
     # support is zero are removed immediately and never get an entry.  A
@@ -363,20 +438,17 @@ def refine_bits_to_fixpoint(
             all_final[node] = True
             if degree == 0:
                 settled.add(node)
-        ancestors = getattr(oracle, "ancestors_within_bits", None)
-        # Reverse (ancestor) balls memoised separately from forward balls.
-        rballs: Dict[Tuple[int, Optional[int]], int] = {}
+        ancestors_of_set = getattr(oracle, "ancestors_of_set_bits", None)
     else:
         seed_edges = edges
 
-    static_bits = dict(mat_bits)
     shrunk_nodes: Set[PatternNodeId] = set()
     for edge in seed_edges:
         u, u_child = edge
         bound = pattern.bound(u, u_child)
         final_edge = use_order and u_child in settled
-        parent_static = static_bits[u]
-        child_static = static_bits[u_child]
+        parent_static = initial[u]
+        child_static = initial[u_child]
         parent_live = mat_bits[u]
         child_live = mat_bits[u_child]
         memo_key = None
@@ -411,39 +483,17 @@ def refine_bits_to_fixpoint(
             if final_edge:
                 counts = None
                 if (
-                    ancestors is not None
+                    ancestors_of_set is not None
                     and child_live.bit_count() < parent_live.bit_count()
                 ):
-                    # The live child set is the smaller side: union its
-                    # ancestor balls and intersect once, instead of one
-                    # forward ball per live parent candidate.
-                    mask = 0
-                    for j in bits_to_indices(child_live):
-                        rkey = (j, bound)
-                        aball = rballs.get(rkey)
-                        if aball is None:
-                            aball = ancestors(compiled, j, bound)
-                            rballs[rkey] = aball
-                        mask |= aball
-                    survivors = parent_live & mask
+                    # The live child set is the smaller side: one reverse
+                    # search from all of it, instead of one forward ball per
+                    # live parent candidate.
+                    survivors = parent_live & ancestors_of_set(
+                        compiled, child_live, bound
+                    )
                 else:
-                    survivors = parent_live
-                    for v in bits_to_indices(parent_live):
-                        key = (v, bound)
-                        ball = balls.get(key)
-                        if ball is None:
-                            ball = descendants(compiled, v, bound)
-                            balls[key] = ball
-                        if type(ball) is int:
-                            alive = bool(ball & child_live)
-                        else:
-                            alive = False
-                            for j in ball:
-                                if child_live >> j & 1:
-                                    alive = True
-                                    break
-                        if not alive:
-                            survivors &= ~(1 << v)
+                    survivors = reaching(parent_live, child_live, bound)
                 if (
                     edge_memo is not None
                     and parent_live == parent_static
@@ -458,23 +508,21 @@ def refine_bits_to_fixpoint(
                 # child's initial set so the memo entry stays shareable.
                 count_parent = parent_live if use_order else parent_static
                 counts = {}
-                survivors = count_parent
+                child_set = None
+                dead: List[int] = []
                 for v in bits_to_indices(count_parent):
-                    key = (v, bound)
-                    ball = balls.get(key)
-                    if ball is None:
-                        ball = descendants(compiled, v, bound)
-                        balls[key] = ball
+                    ball = ball_of(v, bound)
                     if type(ball) is int:
                         count = (ball & child_static).bit_count()
                     else:
-                        count = 0
-                        for j in ball:
-                            count += child_static >> j & 1
+                        if child_set is None:
+                            child_set = set(bits_to_indices(child_static))
+                        count = len(child_set.intersection(ball))
                     if count:
                         counts[v] = count
                     else:
-                        survivors &= ~(1 << v)
+                        dead.append(v)
+                survivors = _cleared(count_parent, dead, size)
                 if edge_memo is not None and count_parent == parent_static:
                     edge_memo.put(
                         memo_key, (parent_static, child_static, survivors, counts)
@@ -489,14 +537,12 @@ def refine_bits_to_fixpoint(
             counts = None if final_edge else dict(entry[3])
         support_count[edge] = counts
         checked_child_bits[edge] = child_live if final_edge else child_static
-        dead = mat_bits[u] & ~survivors
-        if dead:
-            mat_bits[u] &= survivors
-            for v in bits_to_indices(dead):
-                removed.add((u, v))
+        narrowed = parent_live & survivors
+        if narrowed != parent_live:
+            mat_bits[u] = narrowed
             shrunk_nodes.add(u)
-            if stop_when_empty and not mat_bits[u]:
-                return removed
+            if stop_when_empty and not narrowed:
+                return removals()
         if use_order:
             out_remaining[u] -= 1
             if not final_edge:
@@ -520,7 +566,7 @@ def refine_bits_to_fixpoint(
         queued.discard(edge)
         u, u_child = edge
         child_bits = mat_bits[u_child]
-        shrunk = False
+        parent_bits = mat_bits[u]
         delta = checked_child_bits[edge] & ~child_bits
         if delta:
             bound = pattern.bound(u, u_child)
@@ -529,48 +575,33 @@ def refine_bits_to_fixpoint(
                 # Defensive only: a final edge's child is settled and cannot
                 # shrink after the check, so its delta is always empty.  If
                 # it ever fires, recheck the edge count-free.
-                for v in bits_to_indices(mat_bits[u]):
-                    key = (v, bound)
-                    ball = balls.get(key)
-                    if ball is None:
-                        ball = descendants(compiled, v, bound)
-                        balls[key] = ball
-                    if type(ball) is int:
-                        alive = bool(ball & child_bits)
-                    else:
-                        alive = any(child_bits >> j & 1 for j in ball)
-                    if not alive:
-                        mat_bits[u] &= ~(1 << v)
-                        removed.add((u, v))
-                        shrunk = True
+                mat_bits[u] = reaching(parent_bits, child_bits, bound)
             else:
-                for v in bits_to_indices(mat_bits[u]):
+                delta_set = None
+                dead = []
+                for v in bits_to_indices(parent_bits):
                     count = counts[v]
                     if count:
-                        key = (v, bound)
-                        ball = balls.get(key)
-                        if ball is None:
-                            ball = descendants(compiled, v, bound)
-                            balls[key] = ball
+                        ball = ball_of(v, bound)
                         if type(ball) is int:
                             count -= (ball & delta).bit_count()
                         else:
-                            for j in ball:
-                                count -= delta >> j & 1
+                            if delta_set is None:
+                                delta_set = set(bits_to_indices(delta))
+                            count -= len(delta_set.intersection(ball))
                         counts[v] = count
                         if count == 0:
-                            mat_bits[u] &= ~(1 << v)
-                            removed.add((u, v))
-                            shrunk = True
+                            dead.append(v)
+                mat_bits[u] = _cleared(parent_bits, dead, size)
         checked_child_bits[edge] = child_bits
-        if shrunk:
+        if mat_bits[u] != parent_bits:
             if stop_when_empty and not mat_bits[u]:
-                return removed
+                return removals()
             for parent_edge in edges_into.get(u, ()):
                 if parent_edge not in queued:
                     queued.add(parent_edge)
                     worklist.append(parent_edge)
-    return removed
+    return removals()
 
 
 def matches(

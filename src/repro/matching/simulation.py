@@ -54,10 +54,10 @@ class _AdjacencyOracle:
         return compiled.successors_bits(source)
 
     @staticmethod
-    def ancestors_within_bits(
-        compiled: CompiledGraph, target: int, bound: Optional[int]
+    def ancestors_of_set_bits(
+        compiled: CompiledGraph, sources: int, bound: Optional[int]
     ) -> int:
-        return compiled.predecessors_bits(target)
+        return compiled.flat_kernel().ancestors_of_set_bits(sources, 1)
 
     # Adjacency rows are already materialised as cached bitsets on the
     # snapshot, so the "compact" form is the dense row itself.

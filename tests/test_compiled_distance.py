@@ -19,7 +19,7 @@ from repro.distance.incremental import build_store
 from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.distance.oracle import INF, BoundedBitsCache
 from repro.exceptions import DistanceOracleError
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.compiled import CompiledGraph, bits_to_indices, compile_graph
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import random_data_graph, scale_free_graph
 from repro.graph.pattern_generator import PatternGenerator
@@ -305,13 +305,22 @@ class TestWorklistRefinement:
         removed_sets = refine_to_fixpoint(pattern, matrix, mat_sets)
 
         mat_bits = candidate_bits(pattern, compiled)
+        initial = dict(mat_bits)
         removed_bits = refine_bits_to_fixpoint(pattern, matrix, compiled, mat_bits)
 
         decoded = {u: compiled.decode(bits) for u, bits in mat_bits.items()}
         assert decoded == mat_sets
+        # The legacy removals are exactly the bitset run's initial-minus-final
+        # candidates, which is also what its returned RemovedPairs view holds.
+        assert {
+            (u, compiled.node_of(v))
+            for u, bits in initial.items()
+            for v in bits_to_indices(bits & ~mat_bits[u])
+        } == removed_sets
         assert {
             (u, compiled.node_of(v)) for u, v in removed_bits
         } == removed_sets
+        assert len(removed_bits) == len(removed_sets)
 
     def test_stop_when_empty_still_yields_empty_match(self):
         # An unsatisfiable pattern: the early exit may leave mat_bits partial,
